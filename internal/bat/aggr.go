@@ -117,12 +117,24 @@ func (b *BAT) Avg() float64 {
 	panic("bat: Avg over non-numeric tail")
 }
 
-// groupKeys assigns dense group ids by first appearance using a typed
-// hash table: one map instantiation per kind.
+// groupKeys assigns dense group ids by first appearance: a linear
+// small-domain probe while the column holds at most smallDomain
+// distinct values, then a typed hash table (one map instantiation per
+// kind) for the rest of the rows.
 func groupKeys[T comparable](vals []T) (ids []Oid, repIdx []int32) {
 	ids = make([]Oid, len(vals))
-	idOf := make(map[T]Oid, len(vals))
-	for i, v := range vals {
+	var dom [smallDomain]T
+	repIdx, coded := smallDomainIDs(vals, ids, &dom)
+	if coded == len(vals) {
+		return ids, repIdx
+	}
+	// The probe stopped on a full domain: seed the table with it.
+	idOf := make(map[T]Oid, 2*smallDomain)
+	for k, v := range dom {
+		idOf[v] = Oid(k)
+	}
+	for i := coded; i < len(vals); i++ {
+		v := vals[i]
 		id, seen := idOf[v]
 		if !seen {
 			id = Oid(len(repIdx))
@@ -221,9 +233,30 @@ type gpair[T comparable] struct {
 	v T
 }
 
+// deriveKeys assigns first-appearance ids to the (group, value) pairs.
+// A small-domain value column is coded first; when the groups times
+// the value codes fit a direct-address table, each pair indexes it as
+// gid*codes+code with no hashing. Otherwise the pairs go through a
+// typed hash table.
 func deriveKeys[T comparable](gids []Oid, vals []T) (ids []Oid, repIdx []int32) {
 	ids = make([]Oid, len(vals))
-	idOf := make(map[gpair[T]]Oid, len(vals))
+	var dom [smallDomain]T
+	codeReps, coded := smallDomainIDs(vals, ids, &dom)
+	codes := uint64(len(codeReps))
+	limit := maxSlots(len(vals))
+	if top := uint64(maxOid(gids)); coded == len(vals) && top < limit && (top+1)*codes <= limit {
+		slot := make([]int32, (top+1)*codes) // 1 + refined id; 0: unseen
+		for i, g := range gids {
+			k := uint64(g)*codes + uint64(ids[i])
+			if slot[k] == 0 {
+				repIdx = append(repIdx, int32(i))
+				slot[k] = int32(len(repIdx))
+			}
+			ids[i] = Oid(slot[k] - 1)
+		}
+		return ids, repIdx
+	}
+	idOf := make(map[gpair[T]]Oid)
 	for i, v := range vals {
 		k := gpair[T]{gids[i], v}
 		id, seen := idOf[k]
@@ -235,6 +268,15 @@ func deriveKeys[T comparable](gids []Oid, vals []T) (ids []Oid, repIdx []int32) 
 		ids[i] = id
 	}
 	return ids, repIdx
+}
+
+// maxOid returns the largest id in v, or 0 when v is empty.
+func maxOid(v []Oid) Oid {
+	var m Oid
+	for _, o := range v {
+		m = max(m, o)
+	}
+	return m
 }
 
 // GroupDerive refines an existing grouping by an additional key column

@@ -200,49 +200,50 @@ func (c *Column) Append(v any) {
 }
 
 // take returns a new column with the rows at the given positions.
-func (c *Column) take(idx []int) *Column { return takeIdx(c, idx) }
+func (c *Column) take(idx []int) *Column { return takeIdx(c, idx, 0) }
 
 // take32 is take over the compact int32 row indexes the typed kernels
 // produce.
-func (c *Column) take32(idx []int32) *Column { return takeIdx(c, idx) }
+func (c *Column) take32(idx []int32) *Column { return takeIdx(c, idx, 0) }
 
-// takeIdx gathers the rows at the given positions into a fresh
-// materialized column. It is generic over the index width so the typed
+// takeIdx gathers the rows at positions idx[k]-base into a fresh
+// materialized column. It is generic over the index type so the typed
 // kernels can carry int32 row ids (half the memory traffic of int on
-// 64-bit) without a conversion pass.
-func takeIdx[I int | int32](c *Column, idx []I) *Column {
+// 64-bit) without a conversion pass, and a positional fetch can gather
+// straight from its OIDs (base: the first OID of the column's BAT).
+func takeIdx[I int | int32 | Oid](c *Column, idx []I, base I) *Column {
 	out := &Column{kind: c.kind}
 	switch c.kind {
 	case KOid:
 		out.oids = make([]Oid, len(idx))
 		if c.dense {
 			for k, i := range idx {
-				out.oids[k] = c.base + Oid(i)
+				out.oids[k] = c.base + Oid(i-base)
 			}
 		} else {
 			for k, i := range idx {
-				out.oids[k] = c.oids[i]
+				out.oids[k] = c.oids[i-base]
 			}
 		}
 	case KInt:
 		out.ints = make([]int64, len(idx))
 		for k, i := range idx {
-			out.ints[k] = c.ints[i]
+			out.ints[k] = c.ints[i-base]
 		}
 	case KFloat:
 		out.floats = make([]float64, len(idx))
 		for k, i := range idx {
-			out.floats[k] = c.floats[i]
+			out.floats[k] = c.floats[i-base]
 		}
 	case KStr:
 		out.strs = make([]string, len(idx))
 		for k, i := range idx {
-			out.strs[k] = c.strs[i]
+			out.strs[k] = c.strs[i-base]
 		}
 	case KBool:
 		out.bools = make([]bool, len(idx))
 		for k, i := range idx {
-			out.bools[k] = c.bools[i]
+			out.bools[k] = c.bools[i-base]
 		}
 	}
 	return out

@@ -162,3 +162,114 @@ func BenchmarkBATSlice(b *testing.B) {
 		bb.Slice(1000, benchRows-1000)
 	}
 }
+
+// kernelSizes are the row counts of the property-driven kernel
+// benchmarks: the served benchmark's 60K lineitem rows and 1M.
+var kernelSizes = []struct {
+	name string
+	n    int
+}{{"60K", 60_000}, {"1M", benchRows}}
+
+// sortedOidSubset returns a sorted, mirrored OID list holding each of
+// [0, n) with probability keep: the shape a select leaves behind and a
+// conjunction semijoins.
+func sortedOidSubset(rng *rand.Rand, n int, keep float64) *BAT {
+	var oids []Oid
+	for i := 0; i < n; i++ {
+		if rng.Float64() < keep {
+			oids = append(oids, Oid(i))
+		}
+	}
+	c := OidColumn(oids)
+	c.SetSorted(true)
+	return New("subset", c, c)
+}
+
+// BenchmarkBATSelectUnsorted is a ~50%-selective range select over
+// random (unsorted) data: the case where a branchy scan mispredicts
+// about every other row.
+func BenchmarkBATSelectUnsorted(b *testing.B) {
+	for _, size := range kernelSizes {
+		bb := benchIntBAT(size.n, 1000)
+		fb := MakeFloats("f", tailFloats(bb))
+		lo := &Bound{Value: int64(250), Inclusive: true}
+		hi := &Bound{Value: int64(750), Inclusive: false}
+		b.Run("int/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bb.Select(lo, hi)
+			}
+		})
+		b.Run("float/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fb.Select(lo, hi)
+			}
+		})
+	}
+}
+
+// BenchmarkBATSemijoinSorted semijoins two sorted OID lists, the shape
+// of a conjunctive predicate's intersection step.
+func BenchmarkBATSemijoinSorted(b *testing.B) {
+	for _, size := range kernelSizes {
+		rng := rand.New(rand.NewSource(3))
+		l, r := sortedOidSubset(rng, size.n, 0.7), sortedOidSubset(rng, size.n, 0.85)
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Semijoin(r)
+			}
+		})
+	}
+}
+
+// BenchmarkBATJoinCompact joins an unsorted int foreign key against an
+// unsorted build side whose keys span a compact range (four rows per
+// key, like lineitem's orderkey), the direct-address path.
+func BenchmarkBATJoinCompact(b *testing.B) {
+	for _, size := range kernelSizes {
+		keys := size.n / 4
+		build := benchIntBAT(size.n, keys).Reverse()
+		rng := rand.New(rand.NewSource(4))
+		probe := make([]int64, keys/10)
+		for i := range probe {
+			probe[i] = int64(rng.Intn(keys))
+		}
+		pb := MakeInts("probe", probe)
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pb.Join(build)
+			}
+		})
+	}
+}
+
+// BenchmarkBATGroupLowCard groups a 3-value string key and refines it
+// by a 2-value one, the shape of TPC-H Q1's group by returnflag,
+// linestatus: the small-domain path.
+func BenchmarkBATGroupLowCard(b *testing.B) {
+	for _, size := range kernelSizes {
+		rng := rand.New(rand.NewSource(5))
+		flags, status := make([]string, size.n), make([]string, size.n)
+		for i := range flags {
+			flags[i] = []string{"A", "N", "R"}[rng.Intn(3)]
+			status[i] = []string{"F", "O"}[rng.Intn(2)]
+		}
+		fb, sb := MakeStrs("flag", flags), MakeStrs("status", status)
+		b.Run("GroupIDs/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fb.GroupIDs()
+			}
+		})
+		groups, _ := fb.GroupIDs()
+		b.Run("GroupDerive/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GroupDerive(groups, sb)
+			}
+		})
+	}
+}

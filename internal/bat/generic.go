@@ -105,6 +105,12 @@ func (b *BAT) selectGeneric(lo, hi *Bound) *BAT {
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		v := b.t.Value(i)
+		if f, isF := v.(float64); isF && f != f {
+			// NaN is unordered: no bound rejects it, as in the typed
+			// kernel.
+			idx = append(idx, i)
+			continue
+		}
 		if lo != nil {
 			c := cmpValues(b.t.kind, v, lo.Value)
 			if c < 0 || (c == 0 && !lo.Inclusive) {

@@ -11,10 +11,12 @@ import (
 // the column kind ONCE, then runs a monomorphic loop over the typed
 // payload slice (the generic functions below instantiate per kind).
 // Sorted tails take a binary-search span and return an O(1) zero-copy
-// view; unsorted scans count qualifying rows first and allocate the
-// index buffer at its exact size. The boxed row-at-a-time path lives in
-// generic.go and is reached only for literals that cannot be normalized
-// to the column kind.
+// view; unsorted scans resolve their bounds once, count qualifying
+// rows, then fill the index buffer branch-free at its exact size (plus
+// one slot). Joins and semijoins on int/oid keys choose their path from
+// the build side's properties (keys.go). The boxed row-at-a-time path
+// lives in generic.go and is reached only for literals that cannot be
+// normalized to the column kind.
 
 // Predicate bounds for Select. Nil means unbounded on that side.
 type Bound struct {
@@ -32,35 +34,101 @@ func (b *BAT) viewAll() *BAT {
 	return &BAT{Name: b.Name, h: b.h, t: b.t}
 }
 
-// inRange is the typed range predicate; it inlines into the scan loops.
-func inRange[T cmp.Ordered](v T, lo *T, loIncl bool, hi *T, hiIncl bool) bool {
-	if lo != nil && (v < *lo || (v == *lo && !loIncl)) {
-		return false
-	}
-	if hi != nil && (v > *hi || (v == *hi && !hiIncl)) {
-		return false
-	}
-	return true
-}
+// rowID is what the select scans emit per qualifying row: an int32 row
+// position, or the OID base+row when the head is dense, so that the
+// emitted slice is the result's head as it stands.
+type rowID interface{ int32 | Oid }
 
-// rangeIdx scans an unsorted payload and returns the qualifying row
-// positions. It counts first and fills second: the exact-size
-// allocation replaces append-growth, and the counting pass is a cheap,
-// branch-predictable read-only sweep.
-func rangeIdx[T cmp.Ordered](vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) []int32 {
+// intRangeIdx returns base+row for the rows of the unsorted int/oid
+// payload whose value lies in the inclusive range [lo, lo+width]: one
+// unsigned compare per row (v-lo wraps past width for v < lo). It
+// counts, then fills branch-free into the exact count plus one slot:
+// every row is written at the cursor, which only advances past rows
+// that qualify, so the last write may land one past the count.
+func intRangeIdx[K intKey, I rowID](vals []K, lo K, width uint64, base I) []I {
 	n := 0
 	for _, v := range vals {
-		if inRange(v, lo, loIncl, hi, hiIncl) {
-			n++
-		}
+		n += b2i(uint64(v-lo) <= width)
 	}
-	idx := make([]int32, 0, n)
+	idx := make([]I, n+1)
+	k := 0
 	for i, v := range vals {
-		if inRange(v, lo, loIncl, hi, hiIncl) {
-			idx = append(idx, int32(i))
-		}
+		idx[k] = base + I(i)
+		k += b2i(uint64(v-lo) <= width)
 	}
-	return idx
+	return idx[:n]
+}
+
+// floatRangeIdx is intRangeIdx over a float payload and the closed
+// range [lo, hi]: two compares per row. A row is rejected only by a
+// compare that holds, so NaN, for which none holds, qualifies under
+// every bound, as in the boxed reference path.
+func floatRangeIdx[I rowID](vals []float64, lo, hi float64, base I) []I {
+	n := 0
+	for _, v := range vals {
+		n += b2i(!(v < lo)) & b2i(!(v > hi))
+	}
+	idx := make([]I, n+1)
+	k := 0
+	for i, v := range vals {
+		idx[k] = base + I(i)
+		k += b2i(!(v < lo)) & b2i(!(v > hi))
+	}
+	return idx[:n]
+}
+
+// closedFloatRange turns float bounds into the closed range that
+// floatRangeIdx tests: an open side becomes ±Inf and an exclusive
+// bound moves one float inward. Nothing lies beyond an exclusive ±Inf
+// but NaN; [+Inf, -Inf] is that range, rejecting every ordered value.
+func closedFloatRange(lo float64, hasLo, loIncl bool, hi float64, hasHi, hiIncl bool) (float64, float64) {
+	inf := math.Inf(1)
+	switch {
+	case !hasLo:
+		lo = -inf
+	case !loIncl && lo == inf:
+		return inf, -inf
+	case !loIncl:
+		lo = math.Nextafter(lo, inf)
+	}
+	switch {
+	case !hasHi:
+		hi = inf
+	case !hiIncl && hi == -inf:
+		return inf, -inf
+	case !hiIncl:
+		hi = math.Nextafter(hi, -inf)
+	}
+	return lo, hi
+}
+
+// strRange is a range predicate over a string payload with its bounds
+// resolved once per call into 0/1 masks.
+type strRange struct {
+	lo, hi         string
+	hasLo, hasHi   int
+	loExcl, hiExcl int
+}
+
+func (r *strRange) keep(v string) int {
+	rejLo := b2i(v < r.lo) | b2i(v == r.lo)&r.loExcl
+	rejHi := b2i(v > r.hi) | b2i(v == r.hi)&r.hiExcl
+	return 1 ^ (rejLo&r.hasLo | rejHi&r.hasHi)
+}
+
+// strRangeIdx is intRangeIdx over a strRange.
+func strRangeIdx[I rowID](vals []string, r strRange, base I) []I {
+	n := 0
+	for _, v := range vals {
+		n += r.keep(v)
+	}
+	idx := make([]I, n+1)
+	k := 0
+	for i, v := range vals {
+		idx[k] = base + I(i)
+		k += r.keep(v)
+	}
+	return idx[:n]
 }
 
 // rangeSpan binary-searches a sorted payload for the qualifying
@@ -89,23 +157,56 @@ func rangeSpan[T cmp.Ordered](vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) 
 	return from, to
 }
 
-// selectTyped runs the monomorphic select kernel over one typed payload:
-// sorted tails get the O(log n + k) span path and come back as zero-copy
-// views, unsorted tails get the count-then-fill scan.
-func selectTyped[T cmp.Ordered](b *BAT, vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) *BAT {
+// selectSpan answers a range select over a sorted tail with an
+// O(log n) binary search and an O(1) zero-copy view.
+func selectSpan[T cmp.Ordered](b *BAT, vals []T, lo *T, loIncl bool, hi *T, hiIncl bool) *BAT {
+	from, to := rangeSpan(vals, lo, loIncl, hi, hiIncl)
+	return b.Slice(from, to)
+}
+
+// selectInt is Select over an int/oid tail with normalized inclusive
+// bounds: a binary search when the tail is sorted, else the branch-free
+// scan, with minK/maxK standing in for open sides.
+func selectInt[K intKey](b *BAT, vals []K, lo K, hasLo bool, hi K, hasHi bool, minK, maxK K) *BAT {
 	if b.t.Sorted() {
-		from, to := rangeSpan(vals, lo, loIncl, hi, hiIncl)
-		return b.Slice(from, to)
+		return selectSpan(b, vals, ptrIf(lo, hasLo), true, ptrIf(hi, hasHi), true)
 	}
-	idx := rangeIdx(vals, lo, loIncl, hi, hiIncl)
-	nb := &BAT{Name: b.Name, h: b.h.take32(idx), t: b.t.take32(idx)}
-	// Row order is preserved, so a sorted head stays sorted.
-	nb.h.sorted = b.h.Sorted()
-	// A point predicate yields a constant — hence sorted — tail.
-	if lo != nil && hi != nil && *lo == *hi && loIncl && hiIncl {
+	point := hasLo && hasHi && lo == hi
+	if !hasLo {
+		lo = minK
+	}
+	if !hasHi {
+		hi = maxK
+	}
+	if lo > hi {
+		return b.emptyLike()
+	}
+	if b.h.dense {
+		return b.selectDense(intRangeIdx(vals, lo, uint64(hi-lo), b.h.base), point)
+	}
+	return b.selectRows(intRangeIdx(vals, lo, uint64(hi-lo), int32(0)), point)
+}
+
+// selectRows gathers the rows an unsorted scan qualified. Row order is
+// preserved, so a sorted head stays sorted; a point predicate yields a
+// constant, hence sorted, tail.
+func (b *BAT) selectRows(idx []int32, point bool) *BAT {
+	nb := b.takeRows(idx)
+	if point {
 		nb.t.sorted = true
 	}
 	return nb
+}
+
+// selectDense is selectRows for a dense head, whose scan emitted the
+// qualifying OIDs themselves: they become the head as they are, and the
+// tail is gathered straight from them.
+func (b *BAT) selectDense(oids []Oid, point bool) *BAT {
+	h := OidColumn(oids)
+	h.sorted = true
+	t := takeIdx(b.t, oids, b.h.base)
+	t.sorted = point
+	return &BAT{Name: b.Name, h: h, t: t}
 }
 
 const (
@@ -293,7 +394,7 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 		if emptyLo || emptyHi {
 			return b.emptyLike()
 		}
-		return selectTyped(b, b.t.ints, ptrIf(loV, hasLo), true, ptrIf(hiV, hasHi), true)
+		return selectInt(b, b.t.ints, loV, hasLo, hiV, hasHi, math.MinInt64, math.MaxInt64)
 	case KFloat:
 		loV, hasLo, ok1 := normFloatBound(lo)
 		hiV, hasHi, ok2 := normFloatBound(hi)
@@ -302,7 +403,16 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 		}
 		loIncl := lo == nil || lo.Inclusive
 		hiIncl := hi == nil || hi.Inclusive
-		return selectTyped(b, b.t.floats, ptrIf(loV, hasLo), loIncl, ptrIf(hiV, hasHi), hiIncl)
+		if b.t.Sorted() {
+			return selectSpan(b, b.t.floats, ptrIf(loV, hasLo), loIncl, ptrIf(hiV, hasHi), hiIncl)
+		}
+		// A float point select keeps NaN rows too, so its tail is not
+		// flagged sorted.
+		loV, hiV = closedFloatRange(loV, hasLo, loIncl, hiV, hasHi, hiIncl)
+		if b.h.dense {
+			return b.selectDense(floatRangeIdx(b.t.floats, loV, hiV, b.h.base), false)
+		}
+		return b.selectRows(floatRangeIdx(b.t.floats, loV, hiV, int32(0)), false)
 	case KOid:
 		loV, hasLo, emptyLo, ok1 := normOidBound(lo, true)
 		hiV, hasHi, emptyHi, ok2 := normOidBound(hi, false)
@@ -315,7 +425,7 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 		if b.t.dense {
 			return b.selectDenseTail(loV, hasLo, hiV, hasHi)
 		}
-		return selectTyped(b, b.t.oids, ptrIf(loV, hasLo), true, ptrIf(hiV, hasHi), true)
+		return selectInt(b, b.t.oids, loV, hasLo, hiV, hasHi, 0, ^Oid(0))
 	case KStr:
 		loV, hasLo, ok1 := normStrBound(lo)
 		hiV, hasHi, ok2 := normStrBound(hi)
@@ -324,7 +434,15 @@ func (b *BAT) Select(lo, hi *Bound) *BAT {
 		}
 		loIncl := lo == nil || lo.Inclusive
 		hiIncl := hi == nil || hi.Inclusive
-		return selectTyped(b, b.t.strs, ptrIf(loV, hasLo), loIncl, ptrIf(hiV, hasHi), hiIncl)
+		if b.t.Sorted() {
+			return selectSpan(b, b.t.strs, ptrIf(loV, hasLo), loIncl, ptrIf(hiV, hasHi), hiIncl)
+		}
+		r := strRange{lo: loV, hi: hiV, hasLo: b2i(hasLo), hasHi: b2i(hasHi), loExcl: b2i(!loIncl), hiExcl: b2i(!hiIncl)}
+		point := hasLo && hasHi && loV == hiV && loIncl && hiIncl
+		if b.h.dense {
+			return b.selectDense(strRangeIdx(b.t.strs, r, b.h.base), point)
+		}
+		return b.selectRows(strRangeIdx(b.t.strs, r, int32(0)), point)
 	case KBool:
 		return b.selectBool(lo, hi)
 	}
@@ -626,17 +744,12 @@ func (b *BAT) Join(r *BAT) *BAT {
 		oids := b.t.oids
 		cnt := 0
 		for _, o := range oids {
-			if o >= rbase && o < rend {
-				cnt++
-			}
+			cnt += b2i(o-rbase < Oid(rn)) // OIDs below rbase wrap past rn
 		}
 		if cnt == len(oids) {
-			// Every position lands: the head passes through zero-copy.
-			ri := make([]int32, cnt)
-			for i, o := range oids {
-				ri[i] = int32(o - rbase)
-			}
-			return &BAT{Name: b.Name, h: b.h, t: r.t.take32(ri)}
+			// Every position lands: the head passes through zero-copy
+			// and the tail is gathered straight from the OIDs.
+			return &BAT{Name: b.Name, h: b.h, t: takeIdx(r.t, oids, rbase)}
 		}
 		li := make([]int32, 0, cnt)
 		ri := make([]int32, 0, cnt)
@@ -650,13 +763,16 @@ func (b *BAT) Join(r *BAT) *BAT {
 		nb.h.sorted = b.h.Sorted()
 		return nb
 	}
-	// Typed hash join, one instantiation per kind.
+	// Int/oid keys pick search, direct-address or hash from the build
+	// side's properties (keys.go); the other kinds hash, one
+	// instantiation per kind.
 	var li, ri []int32
+	lSorted, rSorted := b.t.Sorted(), r.h.Sorted()
 	switch b.t.kind {
 	case KOid:
-		li, ri = hashJoinTyped(b.t.oidValues(), r.h.oidValues(), b.Len())
+		li, ri = joinKeys(b.t.oidValues(), r.h.oids, lSorted, rSorted, b.Len())
 	case KInt:
-		li, ri = hashJoinTyped(b.t.ints, r.h.ints, b.Len())
+		li, ri = joinKeys(b.t.ints, r.h.ints, lSorted, rSorted, b.Len())
 	case KFloat:
 		li, ri = hashJoinTyped(b.t.floats, r.h.floats, b.Len())
 	case KStr:
@@ -727,8 +843,9 @@ func rangeMemberIdx(vals []Oid, base, end Oid, keep bool) []int32 {
 }
 
 // headFilterIdx computes the row positions of b whose head value
-// does (keep) or does not (!keep) appear among r's head values, using
-// typed sets — or plain range arithmetic when r's head is dense.
+// does (keep) or does not (!keep) appear among r's head values: plain
+// range arithmetic when r's head is dense, the property-driven
+// memberKeys for int/oid heads, typed hash sets otherwise.
 func headFilterIdx(b, r *BAT, keep bool) []int32 {
 	if r.h.dense {
 		base, end := r.h.base, r.h.base+Oid(r.h.Len())
@@ -736,9 +853,9 @@ func headFilterIdx(b, r *BAT, keep bool) []int32 {
 	}
 	switch b.h.kind {
 	case KOid:
-		return memberIdx(b.h.oidValues(), makeSet(r.h.oidValues()), keep)
+		return memberKeys(b.h.oidValues(), r.h.oids, b.h.Sorted(), r.h.Sorted(), keep)
 	case KInt:
-		return memberIdx(b.h.ints, makeSet(r.h.ints), keep)
+		return memberKeys(b.h.ints, r.h.ints, b.h.Sorted(), r.h.Sorted(), keep)
 	case KFloat:
 		return memberIdx(b.h.floats, makeSet(r.h.floats), keep)
 	case KStr:
@@ -751,11 +868,17 @@ func headFilterIdx(b, r *BAT, keep bool) []int32 {
 
 // takeRows gathers the given rows of both columns, propagating head and
 // tail sortedness (row order is preserved by all int32 index kernels).
+// A mirrored BAT (head and tail one column) is gathered once and stays
+// mirrored.
 func (b *BAT) takeRows(idx []int32) *BAT {
-	nb := &BAT{Name: b.Name, h: b.h.take32(idx), t: b.t.take32(idx)}
-	nb.h.sorted = b.h.Sorted()
-	nb.t.sorted = b.t.Sorted()
-	return nb
+	h := b.h.take32(idx)
+	h.sorted = b.h.Sorted()
+	if b.t == b.h {
+		return &BAT{Name: b.Name, h: h, t: h}
+	}
+	t := b.t.take32(idx)
+	t.sorted = b.t.Sorted()
+	return &BAT{Name: b.Name, h: h, t: t}
 }
 
 // Semijoin returns the rows of b whose head value appears among r's head

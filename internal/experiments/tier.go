@@ -15,11 +15,12 @@ package experiments
 //     cold-homed;
 //   - the tiers themselves: measured revolution time per ring, the
 //     migration counters, and residency;
-//   - the flash-crowd path: after the stream, a still-cold column is
-//     hit with a burst and the wall-clock from the burst's first
-//     access to the observed home flip is compared against one cold
-//     revolution (the promotion must land before the cold ring could
-//     even bring the fragment around).
+//   - the flash-crowd path: the last column is held out of the stream,
+//     so it is still cold afterwards by construction; it is then hit
+//     with a burst and the wall-clock from the burst's first access to
+//     the observed home flip is compared against one cold revolution
+//     (the promotion must land before the cold ring could even bring
+//     the fragment around).
 //
 // Gate() turns the three contracts into a CI check.
 
@@ -37,7 +38,7 @@ import (
 
 // TierOpts sizes the sweep.
 type TierOpts struct {
-	Columns  int     // distinct columns (the Zipf key space)
+	Columns  int     // distinct columns: the Zipf key space plus the held-out flash probe column
 	Rows     int     // rows per column (single-fragment sized)
 	Accesses int     // fetches in the measured stream
 	Theta    float64 // Zipf skew
@@ -191,7 +192,7 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 // accesses that found their column cold-homed (the revolution proxy
 // the flash bound falls back to).
 func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierRun, int64, error) {
-	z := workload.NewZipf(o.Columns, o.Theta)
+	z := workload.NewZipf(o.Columns-1, o.Theta) // the last column is the flash probe's
 	rng := rand.New(rand.NewSource(o.Seed + 1))
 	run := TierRun{Label: label, Accesses: o.Accesses}
 	var all, hotLat, coldLat []time.Duration
@@ -233,20 +234,14 @@ func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierR
 	return run, quantileMicros(coldLat, 0.99), nil
 }
 
-// tierFlashProbe picks a still-cold column, hits it with a
-// FlashCrowdHits burst, and clocks the cold→hot home flip.
+// tierFlashProbe hits the column the stream never drew with a
+// FlashCrowdHits burst and clocks the cold→hot home flip.
 func tierFlashProbe(rtr *live.Router, o TierOpts, sums []int64, res *TierResult, coldP99 int64) error {
-	victim := -1
-	for k := o.Columns - 1; k >= 0; k-- {
-		if homes, ok := rtr.Homes(tierColName(k)); ok && homes[0] == live.ColdRing {
-			victim = k
-			break
-		}
-	}
-	if victim < 0 {
-		return nil // everything already promoted; the probe has nothing to show
-	}
+	victim := o.Columns - 1
 	name := tierColName(victim)
+	if homes, ok := rtr.Homes(name); !ok || homes[0] != live.ColdRing {
+		return fmt.Errorf("flash probe: held-out column %s is not cold-homed (%v)", name, homes)
+	}
 	burst := o.Router.FlashCrowdHits
 	if burst <= 0 {
 		burst = 3

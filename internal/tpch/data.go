@@ -84,24 +84,45 @@ func randDate(rng *rand.Rand) int64 {
 	return date(1992+rng.Intn(7), 1+rng.Intn(12), 1+rng.Intn(28))
 }
 
-// sortedInts builds an int BAT whose tail is known to be ascending
-// (sequentially generated keys), so range and point predicates over it
-// hit the kernel's binary-search fast path instead of a scan.
-func sortedInts(name string, vals []int64) *bat.BAT {
-	b := bat.MakeInts(name, vals)
-	b.Tail().SetSorted(true)
-	return b
+// column is one generated column as a plain Go slice: []int64,
+// []float64 or []string.
+type column struct {
+	table, name string
+	vals        any
+	sorted      bool // ascending (sequentially generated) keys
 }
 
 // GenDB generates a deterministic database. sf scales row counts
 // (sf=0.001 gives lineitem≈6000 rows, fine for tests and examples).
+// Sorted key columns are flagged so range and point predicates over
+// them hit the kernel's binary-search fast path instead of a scan.
 func GenDB(sf float64, seed int64) *DB {
-	rng := rand.New(rand.NewSource(seed))
 	db := &DB{
 		SF:      sf,
 		columns: map[string]*bat.BAT{},
 		schema:  minisql.MapSchema{},
 	}
+	for _, c := range generate(sf, seed) {
+		name := c.table + "." + c.name
+		var b *bat.BAT
+		switch v := c.vals.(type) {
+		case []int64:
+			b = bat.MakeInts(name, v)
+		case []float64:
+			b = bat.MakeFloats(name, v)
+		case []string:
+			b = bat.MakeStrs(name, v)
+		}
+		b.Tail().SetSorted(c.sorted)
+		db.add(c.table, c.name, b)
+	}
+	return db
+}
+
+// generate draws the database's columns, in schema order, from one
+// seeded generator.
+func generate(sf float64, seed int64) []column {
+	rng := rand.New(rand.NewSource(seed))
 	nCust := scaled(150_000, sf)
 	nOrders := scaled(1_500_000, sf)
 	nLine := scaled(6_000_000, sf)
@@ -117,9 +138,6 @@ func GenDB(sf float64, seed int64) *DB {
 		nname[i] = nations[i]
 		nregion[i] = int64(i % 5)
 	}
-	db.add("nation", "n_nationkey", sortedInts("nation.n_nationkey", nk))
-	db.add("nation", "n_name", bat.MakeStrs("nation.n_name", nname))
-	db.add("nation", "n_regionkey", bat.MakeInts("nation.n_regionkey", nregion))
 
 	// supplier
 	sk := make([]int64, nSupp)
@@ -128,8 +146,6 @@ func GenDB(sf float64, seed int64) *DB {
 		sk[i] = int64(i + 1)
 		snat[i] = int64(rng.Intn(nNation))
 	}
-	db.add("supplier", "s_suppkey", sortedInts("supplier.s_suppkey", sk))
-	db.add("supplier", "s_nationkey", bat.MakeInts("supplier.s_nationkey", snat))
 
 	// customer
 	ck := make([]int64, nCust)
@@ -142,10 +158,6 @@ func GenDB(sf float64, seed int64) *DB {
 		cseg[i] = segments[rng.Intn(len(segments))]
 		cbal[i] = float64(rng.Intn(1000000))/100 - 999
 	}
-	db.add("customer", "c_custkey", sortedInts("customer.c_custkey", ck))
-	db.add("customer", "c_nationkey", bat.MakeInts("customer.c_nationkey", cnat))
-	db.add("customer", "c_mktsegment", bat.MakeStrs("customer.c_mktsegment", cseg))
-	db.add("customer", "c_acctbal", bat.MakeFloats("customer.c_acctbal", cbal))
 
 	// orders
 	ok := make([]int64, nOrders)
@@ -158,10 +170,6 @@ func GenDB(sf float64, seed int64) *DB {
 		odate[i] = randDate(rng)
 		oprice[i] = float64(1000+rng.Intn(400000)) / 100
 	}
-	db.add("orders", "o_orderkey", sortedInts("orders.o_orderkey", ok))
-	db.add("orders", "o_custkey", bat.MakeInts("orders.o_custkey", ocust))
-	db.add("orders", "o_orderdate", bat.MakeInts("orders.o_orderdate", odate))
-	db.add("orders", "o_totalprice", bat.MakeFloats("orders.o_totalprice", oprice))
 
 	// lineitem
 	lok := make([]int64, nLine)
@@ -184,17 +192,31 @@ func GenDB(sf float64, seed int64) *DB {
 		lship[i] = randDate(rng)
 		lsupp[i] = int64(rng.Intn(nSupp) + 1)
 	}
-	db.add("lineitem", "l_orderkey", bat.MakeInts("lineitem.l_orderkey", lok))
-	db.add("lineitem", "l_quantity", bat.MakeInts("lineitem.l_quantity", lqty))
-	db.add("lineitem", "l_extendedprice", bat.MakeFloats("lineitem.l_extendedprice", lprice))
-	db.add("lineitem", "l_discount", bat.MakeFloats("lineitem.l_discount", ldisc))
-	db.add("lineitem", "l_tax", bat.MakeFloats("lineitem.l_tax", ltax))
-	db.add("lineitem", "l_returnflag", bat.MakeStrs("lineitem.l_returnflag", lflag))
-	db.add("lineitem", "l_linestatus", bat.MakeStrs("lineitem.l_linestatus", lstatus))
-	db.add("lineitem", "l_shipdate", bat.MakeInts("lineitem.l_shipdate", lship))
-	db.add("lineitem", "l_suppkey", bat.MakeInts("lineitem.l_suppkey", lsupp))
 
-	return db
+	return []column{
+		{"nation", "n_nationkey", nk, true},
+		{"nation", "n_name", nname, false},
+		{"nation", "n_regionkey", nregion, false},
+		{"supplier", "s_suppkey", sk, true},
+		{"supplier", "s_nationkey", snat, false},
+		{"customer", "c_custkey", ck, true},
+		{"customer", "c_nationkey", cnat, false},
+		{"customer", "c_mktsegment", cseg, false},
+		{"customer", "c_acctbal", cbal, false},
+		{"orders", "o_orderkey", ok, true},
+		{"orders", "o_custkey", ocust, false},
+		{"orders", "o_orderdate", odate, false},
+		{"orders", "o_totalprice", oprice, false},
+		{"lineitem", "l_orderkey", lok, false},
+		{"lineitem", "l_quantity", lqty, false},
+		{"lineitem", "l_extendedprice", lprice, false},
+		{"lineitem", "l_discount", ldisc, false},
+		{"lineitem", "l_tax", ltax, false},
+		{"lineitem", "l_returnflag", lflag, false},
+		{"lineitem", "l_linestatus", lstatus, false},
+		{"lineitem", "l_shipdate", lship, false},
+		{"lineitem", "l_suppkey", lsupp, false},
+	}
 }
 
 // SFForLineitemRows maps a target lineitem row count onto the scale
