@@ -213,3 +213,36 @@ func (r *CacheResult) String() string {
 	}
 	return b.String()
 }
+
+// Gate enforces the cache invariants on the recorded runs: the repeat
+// workload must hit an enabled cache, a fully-hot repeated pin must be
+// at least 5× faster at the 99th percentile than pure circulation, and
+// with the set fully hot the cache must have stopped ring circulation
+// during the repeat phase (node-local reads, not faster ring waits).
+// The bounds are the same for the -short smoke.
+func (r *CacheResult) Gate(short bool) error {
+	var off *CacheRun
+	for i := range r.Runs {
+		if r.Runs[i].CacheBytes == 0 {
+			off = &r.Runs[i]
+		}
+	}
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		if run.CacheBytes == 0 {
+			continue
+		}
+		if run.Hits == 0 {
+			return fmt.Errorf("CacheBytes=%d: repeat workload never hit the cache", run.CacheBytes)
+		}
+		if off != nil && run.PinP99Micros*5 > off.PinP99Micros {
+			return fmt.Errorf("CacheBytes=%d: pin p99 %dµs vs cache-off %dµs — want ≥5× reduction",
+				run.CacheBytes, run.PinP99Micros, off.PinP99Micros)
+		}
+		if off != nil && off.RepeatHopBytes > 0 && run.RepeatHopBytes >= off.RepeatHopBytes {
+			return fmt.Errorf("CacheBytes=%d: repeat-phase ring traffic %dB did not drop below cache-off %dB",
+				run.CacheBytes, run.RepeatHopBytes, off.RepeatHopBytes)
+		}
+	}
+	return nil
+}

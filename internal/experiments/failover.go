@@ -36,9 +36,9 @@ type FailoverRun struct {
 	HeartbeatMs   int64 `json:"heartbeat_ms"`
 	DeadTimeoutMs int64 `json:"dead_timeout_ms"`
 	OK            int64 `json:"ok"`
-	Rejected      int64 `json:"rejected"`  // admission rejections (IsTemporary)
-	Failed        int64 `json:"failed"`    // hard query failures
-	Incorrect     int64 `json:"incorrect"` // fingerprint mismatches vs reference
+	Rejected      int64 `json:"rejected"`    // admission rejections (IsTemporary)
+	Failed        int64 `json:"failed"`      // hard query failures
+	Incorrect     int64 `json:"incorrect"`   // fingerprint mismatches vs reference
 	DetectMs      int64 `json:"detect_ms"`   // kill → death declared on a survivor
 	ReownMs       int64 `json:"reown_ms"`    // kill → every fragment re-owned
 	FirstOKMs     int64 `json:"first_ok_ms"` // kill → first fully post-kill correct answer
@@ -60,7 +60,8 @@ type FailoverResult struct {
 
 // failoverHeartbeat is the detector tuning the sweep runs with: a
 // 300 ms death verdict, roomy enough that the recovery gate (2× the
-// death timeout, enforced by cmd/dcfail) holds on a loaded CI box.
+// death timeout, enforced by Gate and run by `dcbench failover`) holds
+// on a loaded CI box.
 func failoverHeartbeat() membership.Config {
 	return membership.Config{
 		HeartbeatInterval: 50 * time.Millisecond,
@@ -269,4 +270,43 @@ func (r *FailoverResult) String() string {
 			run.Promotions, run.LostFrags, run.P50Micros, run.P99Micros)
 	}
 	return b.String()
+}
+
+// Gate enforces the failover invariants on every recorded run: zero
+// incorrect answers, zero hard failures, every fragment re-owned from
+// its replica with nothing lost, and recovery (both re-ownership and
+// the first fully post-kill answer) inside gateFactor death timeouts.
+// The bounds are the same for the -short smoke.
+func (r *FailoverResult) Gate(short bool) error {
+	// gateFactor bounds recovery as a multiple of the failure detector's
+	// death timeout: detection itself costs one timeout, so promotion,
+	// splice, and client failover together get at most one more.
+	const gateFactor = 2
+
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		if run.Incorrect != 0 {
+			return fmt.Errorf("%d nodes: %d incorrect answers — correctness is absolute", run.Nodes, run.Incorrect)
+		}
+		if run.Failed != 0 {
+			return fmt.Errorf("%d nodes: %d hard query failures", run.Nodes, run.Failed)
+		}
+		if !run.Reowned || run.LostFrags != 0 {
+			return fmt.Errorf("%d nodes: fragments not recovered (reowned=%v, lost=%d)",
+				run.Nodes, run.Reowned, run.LostFrags)
+		}
+		if run.Promotions == 0 {
+			return fmt.Errorf("%d nodes: kill produced no promotions — the victim owned nothing?", run.Nodes)
+		}
+		budget := gateFactor * run.DeadTimeoutMs
+		if run.ReownMs > budget {
+			return fmt.Errorf("%d nodes: re-ownership took %dms, budget %dms (%d× death timeout)",
+				run.Nodes, run.ReownMs, budget, gateFactor)
+		}
+		if run.FirstOKMs < 0 || run.FirstOKMs > budget {
+			return fmt.Errorf("%d nodes: first post-kill answer at %dms, budget %dms (%d× death timeout)",
+				run.Nodes, run.FirstOKMs, budget, gateFactor)
+		}
+	}
+	return nil
 }

@@ -61,9 +61,9 @@ func fragRun(db *tpch.DB, nodes, queries, fragRows int) (FragRun, error) {
 	// cache so every query's pins actually ride the ring (with it on,
 	// repeat queries skip circulation and the latency column would
 	// measure the cache instead — that trade-off has its own sweep,
-	// cmd/dccache), and disable hop batching, which would coalesce the
-	// fragments back into large messages (that trade-off is cmd/dchop's
-	// sweep — this one is its unbatched baseline).
+	// dcbench cache), and disable hop batching, which would coalesce the
+	// fragments back into large messages (that trade-off is the dcbench
+	// hop sweep — this one is its unbatched baseline).
 	cfg.CacheBytes = 0
 	cfg.HopBatchBytes = 0
 	ring, err := live.NewRing(nodes, db.ColumnMap(), db.Schema(), cfg)
@@ -120,4 +120,34 @@ func (r *FragResult) String() string {
 			run.P50Micros, run.P99Micros)
 	}
 	return b.String()
+}
+
+// Gate enforces the fragmentation invariants on the recorded runs: the
+// unfragmented baseline (FragmentRows 0, when present) must dwarf every
+// fragmented setting's max hop by at least the fragment ratio floor,
+// and a fragmented run over a splittable column must actually have
+// split it. The bounds are the same for the -short smoke.
+func (r *FragResult) Gate(short bool) error {
+	var base *FragRun
+	for i := range r.Runs {
+		if r.Runs[i].FragmentRows == 0 {
+			base = &r.Runs[i]
+		}
+	}
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		if run.FragmentRows == 0 {
+			continue
+		}
+		wantFrags := (r.LineitemRows + run.FragmentRows - 1) / run.FragmentRows
+		if run.Fragments != wantFrags {
+			return fmt.Errorf("FragmentRows=%d: %d fragments, want %d",
+				run.FragmentRows, run.Fragments, wantFrags)
+		}
+		if base != nil && wantFrags >= 8 && run.MaxHopBytes*8 > base.MaxHopBytes {
+			return fmt.Errorf("FragmentRows=%d: max hop %d vs unfragmented %d — want ≥8× reduction",
+				run.FragmentRows, run.MaxHopBytes, base.MaxHopBytes)
+		}
+	}
+	return nil
 }

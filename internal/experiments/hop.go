@@ -145,3 +145,44 @@ func (r *HopResult) String() string {
 	}
 	return b.String()
 }
+
+// Gate enforces the batching invariants on the recorded runs: the
+// unbatched baseline (HopBatchBytes 0, when present) must send all
+// singles, and every batched setting must cut its message count by at
+// least gateRatio while actually filling multi-fragment envelopes. The
+// bounds are the same for the -short smoke.
+func (r *HopResult) Gate(short bool) error {
+	// gateRatio is the hop-message reduction floor the batched run must
+	// clear against the unbatched baseline.
+	const gateRatio = 4
+
+	var base *HopRun
+	for i := range r.Runs {
+		if r.Runs[i].HopBatchBytes == 0 {
+			base = &r.Runs[i]
+		}
+	}
+	if base != nil && (base.Batches != 0 || base.Singles != base.Msgs) {
+		return fmt.Errorf("unbatched baseline sent batches: %d batches, %d singles of %d msgs",
+			base.Batches, base.Singles, base.Msgs)
+	}
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		if run.HopBatchBytes == 0 {
+			continue
+		}
+		var multi int64
+		for b := 1; b < len(run.Fill); b++ {
+			multi += run.Fill[b]
+		}
+		if run.Batches == 0 || multi == 0 {
+			return fmt.Errorf("HopBatchBytes=%d: empty multi-fragment fill histogram %v",
+				run.HopBatchBytes, run.Fill)
+		}
+		if base != nil && run.Msgs*gateRatio > base.Msgs {
+			return fmt.Errorf("HopBatchBytes=%d: %d hop messages vs unbatched %d — want ≥%d× reduction",
+				run.HopBatchBytes, run.Msgs, base.Msgs, gateRatio)
+		}
+	}
+	return nil
+}

@@ -266,3 +266,69 @@ func (r *JoinResult) String() string {
 	}
 	return b.String()
 }
+
+// Gate enforces the join invariants on every recorded run: zero
+// incorrect answers, zero hard failures, the newcomer owning its full
+// planned share and answering for itself, a converged catalog, no
+// false failovers, and join completion dominated by the transfer. The
+// bounds are the same for the -short smoke.
+func (r *JoinResult) Gate(short bool) error {
+	// gateFactor bounds the whole join as a multiple of its transfer
+	// phase: admission and splice-in must stay cheap next to moving data.
+	// totalFloorMs absorbs fixed costs on runs whose transfer rounds to
+	// nearly nothing.
+	const (
+		gateFactor   = 2
+		totalFloorMs = 250
+	)
+	// p99Factor bounds a grown ring's post-join tail against the same-size
+	// ring of the next run before its join (run N's post state and run
+	// N+1's pre state are both an (N+1)-node ring under identical load).
+	const p99Factor = 2
+
+	for i := range r.Runs {
+		run := &r.Runs[i]
+		if run.Incorrect != 0 {
+			return fmt.Errorf("%d nodes: %d incorrect answers — correctness is absolute", run.Nodes, run.Incorrect)
+		}
+		if run.Failed != 0 {
+			return fmt.Errorf("%d nodes: %d hard query failures", run.Nodes, run.Failed)
+		}
+		if run.Migrated == 0 || run.Skipped != 0 || run.Migrated != run.Share {
+			return fmt.Errorf("%d nodes: newcomer owns %d of its %d-fragment share (%d skipped)",
+				run.Nodes, run.Migrated, run.Share, run.Skipped)
+		}
+		if !run.Converged {
+			return fmt.Errorf("%d nodes: catalog did not converge after the join", run.Nodes)
+		}
+		if run.Failovers != 0 {
+			// Nobody is killed in this sweep: any death verdict was a
+			// false positive, and the ring quietly papered over it with
+			// replica promotion. The numbers above would still look green
+			// — which is exactly why this is a hard failure.
+			return fmt.Errorf("%d nodes: %d false failovers during the run", run.Nodes, run.Failovers)
+		}
+		if run.NewcomerOKMs < 0 {
+			return fmt.Errorf("%d nodes: the newcomer never answered a query correctly", run.Nodes)
+		}
+		budget := gateFactor*run.TransferMs + totalFloorMs
+		if run.TotalMs > budget {
+			return fmt.Errorf("%d nodes: join took %dms, budget %dms (%d× the %dms transfer + %dms floor)",
+				run.Nodes, run.TotalMs, budget, gateFactor, run.TransferMs, totalFloorMs)
+		}
+		// Run N's grown ring and run N+1's pre-join ring are the same
+		// size under the same load: the grown ring's tail must not
+		// degrade against a ring born at that size.
+		for j := range r.Runs {
+			peer := &r.Runs[j]
+			if peer.Nodes != run.Nodes+1 || run.PostP99Micros == 0 || peer.PreP99Micros == 0 {
+				continue
+			}
+			if run.PostP99Micros > p99Factor*peer.PreP99Micros {
+				return fmt.Errorf("%d->%d join: post-join p99 %dus vs %dus on a born-%d-node ring (budget %d×)",
+					run.Nodes, run.Nodes+1, run.PostP99Micros, peer.PreP99Micros, peer.Nodes, p99Factor)
+			}
+		}
+	}
+	return nil
+}

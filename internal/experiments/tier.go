@@ -43,7 +43,7 @@ type TierOpts struct {
 	Accesses int     // fetches in the measured stream
 	Theta    float64 // Zipf skew
 	Seed     int64
-	Router   live.RouterConfig // tiered topology; Tiers forced to 2
+	Router   live.RouterConfig // tiered topology; its cold ring shapes the baseline
 }
 
 // DefaultTierOpts is the full sweep; Short shrinks it to CI size.
@@ -138,20 +138,18 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 		Accesses: o.Accesses,
 	}
 
-	// Baseline: one standalone ring built through the Tiers=1 gate, in
-	// the cold ring's configuration and at the cold ring's node count —
-	// the wide capacity ring every fragment shares when there is no hot
-	// tier. (A cache big enough to swallow the whole dataset would hide
+	// Baseline: one standalone ring in the cold ring's configuration
+	// and at the cold ring's node count — the wide capacity ring every
+	// fragment shares when there is no hot tier — fetched through node
+	// 0. (A cache big enough to swallow the whole dataset would hide
 	// exactly the constraint the tiering addresses.)
-	base := o.Router
-	base.Tiers = 1
 	columns, sums := tierColumns(o.Columns, o.Rows, o.Seed)
-	rtr, err := live.NewRouter(columns, nil, base)
+	ring, err := live.NewRing(o.Router.ColdNodes, columns, nil, o.Router.Cold)
 	if err != nil {
 		return nil, err
 	}
-	run, _, err := tierStream("single-ring", rtr, o, sums)
-	rtr.Close()
+	run, _, err := tierStream("single-ring", ring.Node(0).Fetch, nil, o, sums)
+	ring.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -159,15 +157,13 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 
 	// Tiered: the same dataset and the same seeded access stream
 	// against the two-tier runtime.
-	tiered := o.Router
-	tiered.Tiers = 2
 	columns, sums = tierColumns(o.Columns, o.Rows, o.Seed)
-	rtr, err = live.NewRouter(columns, nil, tiered)
+	rtr, err := live.NewRouter(columns, nil, o.Router)
 	if err != nil {
 		return nil, err
 	}
 	defer rtr.Close()
-	run, coldP99, err := tierStream("tiered", rtr, o, sums)
+	run, coldP99, err := tierStream("tiered", rtr.Fetch, rtr, o, sums)
 	if err != nil {
 		return nil, err
 	}
@@ -187,11 +183,12 @@ func TierSweep(o TierOpts) (*TierResult, error) {
 	return res, nil
 }
 
-// tierStream fires the seeded Zipf access stream at the runtime,
-// checksumming every answer. It returns the run and the p99 of the
+// tierStream fires the seeded Zipf access stream through fetch,
+// checksumming every answer. With a router it also splits latency by
+// the column's home ring. It returns the run and the p99 of the
 // accesses that found their column cold-homed (the revolution proxy
 // the flash bound falls back to).
-func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierRun, int64, error) {
+func tierStream(label string, fetch func(string) (*bat.BAT, error), rtr *live.Router, o TierOpts, sums []int64) (TierRun, int64, error) {
 	z := workload.NewZipf(o.Columns-1, o.Theta) // the last column is the flash probe's
 	rng := rand.New(rand.NewSource(o.Seed + 1))
 	run := TierRun{Label: label, Accesses: o.Accesses}
@@ -199,13 +196,13 @@ func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierR
 	for i := 0; i < o.Accesses; i++ {
 		k := z.Draw(rng)
 		hot := false
-		if rtr.Tiers() > 1 {
+		if rtr != nil {
 			if homes, ok := rtr.Homes(tierColName(k)); ok && homes[0] == live.HotRing {
 				hot = true
 			}
 		}
 		start := time.Now()
-		b, err := rtr.Fetch(tierColName(k))
+		b, err := fetch(tierColName(k))
 		lat := time.Since(start)
 		if err != nil {
 			return run, 0, fmt.Errorf("%s: fetch %s: %w", label, tierColName(k), err)
@@ -226,7 +223,7 @@ func tierStream(label string, rtr *live.Router, o TierOpts, sums []int64) (TierR
 	}
 	run.P50Micros = quantileMicros(all, 0.50)
 	run.P99Micros = quantileMicros(all, 0.99)
-	if rtr.Tiers() > 1 {
+	if rtr != nil {
 		run.HotServed = len(hotLat)
 		run.HotP50Micros = quantileMicros(hotLat, 0.50)
 		run.ColdP50Micros = quantileMicros(coldLat, 0.50)

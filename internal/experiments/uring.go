@@ -32,7 +32,6 @@ type UringRun struct {
 	HopBytes       int64    `json:"hop_bytes"`        // total ring data traffic
 	WireSyscalls   int64    `json:"wire_syscalls"`    // enters (uring) / read+write calls (tcp)
 	WireSubmits    int64    `json:"wire_submits"`     // submission batches / gather writes
-	SQPoll         bool     `json:"sqpoll"`           // send rings ran kernel submission polling
 	SyscallsPerHop float64  `json:"syscalls_per_hop"` // WireSyscalls / HopMsgs — the gated figure
 	CqeBatch       [8]int64 `json:"cqe_batch_hist"`   // completions per enter: 1,2,3-4,...,>64
 	P50Micros      int64    `json:"p50_us"`
@@ -133,7 +132,6 @@ func uringRun(db *tpch.DB, nodes, queries, fragRows int, backend string) (UringR
 		HopBytes:       hs.Bytes,
 		WireSyscalls:   hs.WireSyscalls,
 		WireSubmits:    hs.WireSubmits,
-		SQPoll:         hs.WireSQPoll,
 		SyscallsPerHop: perHop,
 		CqeBatch:       hs.CqeBatch,
 		P50Micros:      quantileMicros(lat, 0.50),
@@ -178,4 +176,63 @@ func (r *UringResult) String() string {
 	}
 	fmt.Fprintf(&b, "  results match across backends: %v\n", r.Match)
 	return b.String()
+}
+
+// Gate enforces the backend invariants: identical answers, a real
+// syscalls-per-hop win, and no tail-latency regression beyond slack.
+// A sweep on a kernel without io_uring has nothing to gate.
+func (r *UringResult) Gate(short bool) error {
+	// The syscalls-per-hop reduction floor the uring pass must clear
+	// against the tcp baseline. The full run sustains ring circulation
+	// long enough for the messenger's pipelined send window to fold runs
+	// of hop envelopes into linked submission chains — one io_uring_enter
+	// covering many queued messages — and is held to the headline ≥2×.
+	// The -short smoke run is dominated by warmup and short bursts where
+	// no run of messages ever co-queues, which pins the backend at its
+	// unbatched structural floor: ~1 enter to send + ~1 enter to receive
+	// per message, against tcp's 1 gather write + ~2 reads ≈ a 1.5×
+	// reduction. Short is therefore held to a directional ≥1.3× — enough
+	// to catch a backend that stopped winning at all, without demanding
+	// batching from a workload that cannot produce it.
+	const (
+		gateSyscallRatioFull  = 2.0
+		gateSyscallRatioShort = 1.3
+	)
+	// The uring p99 may exceed the tcp p99 by at most the slack. On the
+	// -short run a single scheduler hiccup lands entirely in one query's
+	// tail, so the tight full-run slack would make the smoke a coin flip.
+	const (
+		p99SlackFull  = 1.25
+		shortP99Slack = 3.0
+	)
+	ratio, p99slack := gateSyscallRatioFull, p99SlackFull
+	if short {
+		ratio, p99slack = gateSyscallRatioShort, shortP99Slack
+	}
+
+	if !r.Match {
+		return fmt.Errorf("backends returned different answers: %+v", r.Runs)
+	}
+	tcp, uring := r.Run("tcp"), r.Run("uring")
+	if tcp == nil {
+		return fmt.Errorf("sweep recorded no tcp baseline")
+	}
+	if uring == nil {
+		if r.Supported {
+			return fmt.Errorf("io_uring supported but the sweep recorded no uring run")
+		}
+		return nil // unsupported kernel: baseline-only snapshot, skip
+	}
+	if uring.Fallback != "" {
+		return fmt.Errorf("uring run fell back: %s", uring.Fallback)
+	}
+	if uring.SyscallsPerHop*ratio > tcp.SyscallsPerHop {
+		return fmt.Errorf("syscalls/hop: uring %.2f vs tcp %.2f — want ≥%.1f× reduction",
+			uring.SyscallsPerHop, tcp.SyscallsPerHop, ratio)
+	}
+	if float64(uring.P99Micros) > p99slack*float64(tcp.P99Micros) {
+		return fmt.Errorf("p99: uring %dµs vs tcp %dµs — exceeds %.2fx slack",
+			uring.P99Micros, tcp.P99Micros, p99slack)
+	}
+	return nil
 }

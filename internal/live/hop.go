@@ -74,12 +74,6 @@ type HopStats struct {
 	// 3-4, 5-8, ..., >64 — same buckets as Fill): the right-heavier the
 	// histogram, the more queued hops each syscall covered.
 	CqeBatch [8]int64
-	// WireSQPoll reports that at least one data-link endpoint ran an
-	// SQPOLL send ring (kernel-thread submission, no enter per chain).
-	// The syscalls-per-hop gate is tiered on this: without SQPOLL the
-	// structural floor is ~1 enter to send + ~1 enter to receive each
-	// message, which caps the achievable reduction against tcp.
-	WireSQPoll bool
 }
 
 // fillBucket maps a batch entry count onto a Fill histogram index.
@@ -340,7 +334,6 @@ func (n *Node) HopStats() HopStats {
 			for i := range s.CqeBatch {
 				s.CqeBatch[i] += wc.CqeBatch[i]
 			}
-			s.WireSQPoll = s.WireSQPoll || wc.SQPoll
 		}
 	}
 	return s
@@ -372,7 +365,6 @@ func (r *Ring) HopStats() HopStats {
 		for i := range total.CqeBatch {
 			total.CqeBatch[i] += s.CqeBatch[i]
 		}
-		total.WireSQPoll = total.WireSQPoll || s.WireSQPoll
 	}
 	total.Backend, total.BackendFallback = r.backendInfo()
 	return total

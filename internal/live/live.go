@@ -120,8 +120,8 @@ type Config struct {
 	// of a multi-ring runtime: the id makes the ring addressable, the
 	// back-pointer routes pins whose fragments are homed on another
 	// ring. Both stay zero for a standalone ring — every routed code
-	// path gates on router being nil, so Tiers=0 keeps the single ring
-	// byte-identical.
+	// path gates on router being nil, so a NewRing ring stays
+	// byte-identical to the pre-router runtime.
 	ringID RingID
 	router *Router
 	// minMsgBytes floors the computed ring message limit: a tier ring
@@ -164,7 +164,7 @@ type Ring struct {
 	cfg   Config
 	// id names this ring within a multi-ring runtime (always 0 for a
 	// standalone ring); router is the routing layer in front, nil when
-	// the ring stands alone (the Tiers=0 compatibility gate).
+	// the ring stands alone.
 	id     RingID
 	router *Router
 	// name -> ordered fragment ids, global catalog agreed by all nodes.

@@ -56,10 +56,9 @@ package live
 // that does not wait for the cold ring to come around, so the cure
 // lands within one cold revolution of the first spike.
 //
-// Tiers=0/1 is the compatibility gate: NewRouter builds one standalone
-// ring with a nil router back-pointer, and every routed branch in the
-// pin/publish/update paths gates on that nil — the single ring stays
-// byte-identical to the pre-router runtime.
+// A standalone ring is NewRing: its router back-pointer is nil, and
+// every routed branch in the pin/publish/update paths gates on that
+// nil — the single ring stays byte-identical to the pre-router runtime.
 
 import (
 	"fmt"
@@ -99,10 +98,6 @@ func (t RingID) String() string {
 
 // RouterConfig tunes the routed runtime.
 type RouterConfig struct {
-	// Tiers selects the topology: 0 or 1 builds a single standalone
-	// ring from Cold/ColdNodes (byte-identical to NewRing — the
-	// compatibility gate); 2 builds the hot/cold pair.
-	Tiers int
 	// HotNodes / ColdNodes size the two rings (each needs >= 2).
 	HotNodes  int
 	ColdNodes int
@@ -153,7 +148,6 @@ func DefaultRouterConfig() RouterConfig {
 	cold.CacheBytes = 0
 	cold.HopBatchLinger = 2 * time.Millisecond
 	return RouterConfig{
-		Tiers:          2,
 		HotNodes:       2,
 		ColdNodes:      4,
 		Hot:            hot,
@@ -179,10 +173,9 @@ type accKey struct {
 
 // Router is the routing layer of a multi-ring runtime.
 type Router struct {
-	cfg    RouterConfig
-	rings  []*Ring // indexed by RingID: [hot, cold] (or the single ring)
-	query  *Ring   // where Submit settles queries (the hot ring)
-	single bool    // Tiers < 2: one standalone ring, no routed paths
+	cfg   RouterConfig
+	rings []*Ring // indexed by RingID: [hot, cold]
+	query *Ring   // where Submit settles queries (the hot ring)
 
 	// catMu guards fragHome, the routing catalog: fragment id → home
 	// ring. Reads are the pin path's routing decision; the only writes
@@ -232,15 +225,9 @@ type Router struct {
 	lastFlashNanos  int64 // atomic: latest flash promotion latency
 }
 
-// NewRouter builds the routed runtime over the given database columns.
-// With rc.Tiers < 2 it builds exactly one standalone ring (the
-// Tiers=0 compatibility gate: no router back-pointer, no routed code
-// paths, byte-identical behavior); with rc.Tiers == 2 it builds the
-// hot/cold pair sharing one catalog and starts the tier scanner.
+// NewRouter builds the routed runtime over the given database columns:
+// the hot/cold pair sharing one catalog, with the tier scanner running.
 func NewRouter(columns map[string]*bat.BAT, schema minisql.Schema, rc RouterConfig) (*Router, error) {
-	if rc.Tiers > 2 {
-		return nil, fmt.Errorf("live: %d tiers unsupported (max 2)", rc.Tiers)
-	}
 	if rc.Cold.QueueCap == 0 && rc.Cold.Workers == 0 {
 		rc.Cold = DefaultConfig()
 	}
@@ -279,17 +266,6 @@ func NewRouter(columns map[string]*bat.BAT, schema minisql.Schema, rc RouterConf
 		pendingRelease: map[core.BATID]RingID{},
 		updMu:          map[string]*sync.Mutex{},
 		closed:         make(chan struct{}),
-	}
-
-	if rc.Tiers < 2 {
-		ring, err := NewRing(rc.ColdNodes, columns, schema, rc.Cold)
-		if err != nil {
-			return nil, err
-		}
-		rtr.single = true
-		rtr.rings = []*Ring{ring}
-		rtr.query = ring
-		return rtr, nil
 	}
 
 	coldCfg := rc.Cold
@@ -349,8 +325,7 @@ func (rtr *Router) Tiers() int { return len(rtr.rings) }
 // Tier returns ring t.
 func (rtr *Router) Tier(t RingID) *Ring { return rtr.rings[t] }
 
-// QueryRing returns the ring queries settle on (the hot ring of a
-// two-tier runtime, the only ring otherwise).
+// QueryRing returns the ring queries settle on (the hot ring).
 func (rtr *Router) QueryRing() *Ring { return rtr.query }
 
 // HomeOf reports the home ring of one fragment.
@@ -430,7 +405,7 @@ func (rtr *Router) homeOf(id core.BATID) RingID {
 	rtr.catMu.RLock()
 	home, ok := rtr.fragHome[id]
 	rtr.catMu.RUnlock()
-	if !ok && !rtr.single {
+	if !ok {
 		return ColdRing
 	}
 	return home
@@ -667,9 +642,6 @@ func sortRingNodes(set []ringNode) {
 // multi-node critical section spanning both rings. Ring.UpdateColumn
 // delegates here in a routed runtime.
 func (rtr *Router) UpdateColumn(name string, fn func(*bat.BAT) *bat.BAT) (int, error) {
-	if rtr.single {
-		return rtr.rings[0].UpdateColumn(name, fn)
-	}
 	ids, ok := rtr.rings[0].Fragments(name)
 	if !ok {
 		return 0, fmt.Errorf("live: unknown column %q", name)
@@ -845,7 +817,7 @@ func (rtr *Router) unmarkMigrating(id core.BATID) {
 // destination, or a previous source copy still pending release) — the
 // fragment simply stays where the routing catalog says it is.
 func (rtr *Router) migrateTier(id core.BATID, from, to RingID) bool {
-	if from == to || rtr.single {
+	if from == to {
 		return false
 	}
 	name := rtr.colOf(id)
@@ -1243,14 +1215,6 @@ func (rtr *Router) TierStats() TierStats {
 	rtr.promMu.Lock()
 	s.PendingReleases = int64(len(rtr.pendingRelease))
 	rtr.promMu.Unlock()
-	if rtr.single {
-		s.ColdNodes = rtr.rings[0].Size()
-		rtr.catMu.RLock()
-		s.ColdResident = len(rtr.fragHome)
-		rtr.catMu.RUnlock()
-		s.ColdRevolutionMicros = rtr.rings[0].RevolutionTime().Microseconds()
-		return s
-	}
 	s.HotNodes = rtr.rings[HotRing].Size()
 	s.ColdNodes = rtr.rings[ColdRing].Size()
 	rtr.catMu.RLock()

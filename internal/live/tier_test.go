@@ -55,43 +55,6 @@ func tierFetchSum(t *testing.T, rtr *Router, name string) int64 {
 	return sum
 }
 
-// TestRouterSingleTier pins the Tiers<2 gate: the router degenerates to
-// one standalone ring with no router hooks installed — the byte-for-
-// byte pre-router runtime.
-func TestRouterSingleTier(t *testing.T) {
-	cols, sums := tierTestColumns(3, 256)
-	rc := tierTestConfig()
-	rc.Tiers = 1
-	rtr, err := NewRouter(cols, nil, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rtr.Close()
-
-	if rtr.Tiers() != 1 {
-		t.Fatalf("tiers: got %d", rtr.Tiers())
-	}
-	ring := rtr.Tier(0)
-	if ring.router != nil {
-		t.Fatal("single-tier ring has router hooks installed")
-	}
-	if ring.cfg.router != nil {
-		t.Fatal("single-tier config carries a router")
-	}
-	for name, want := range sums {
-		if got := tierFetchSum(t, rtr, name); got != want {
-			t.Fatalf("%s: sum %d, want %d", name, got, want)
-		}
-	}
-	if _, err := rtr.UpdateColumn("t.c0", func(b *bat.BAT) *bat.BAT { return b }); err != nil {
-		t.Fatalf("single-tier update: %v", err)
-	}
-	s := rtr.TierStats()
-	if s.Tiers != 1 || s.Promotions != 0 || s.Demotions != 0 {
-		t.Fatalf("single-tier stats: %+v", s)
-	}
-}
-
 // TestTierScanPromoteDemote drives the scanner's threshold path: a
 // hammered cold column crosses PromoteHeat and moves to the hot ring;
 // once the interest stops its heat decays through DemoteHeat and it

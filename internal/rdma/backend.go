@@ -131,22 +131,15 @@ type WireCounters struct {
 	Syscalls int64
 	Submits  int64
 	CqeBatch [8]int64
-	// SQPoll reports that this endpoint's send ring runs a kernel
-	// submission-polling thread (IORING_SETUP_SQPOLL): submissions cost
-	// no syscall while the thread is awake. Always false for tcp, and
-	// for uring on machines without the CPU headroom to dedicate a
-	// polling thread per link.
-	SQPoll bool
 }
 
-// add accumulates o into c (CqeBatch element-wise, SQPoll ORed).
+// add accumulates o into c (CqeBatch element-wise).
 func (c *WireCounters) add(o WireCounters) {
 	c.Syscalls += o.Syscalls
 	c.Submits += o.Submits
 	for i := range c.CqeBatch {
 		c.CqeBatch[i] += o.CqeBatch[i]
 	}
-	c.SQPoll = c.SQPoll || o.SQPoll
 }
 
 // cqeBucket maps a per-enter completion count onto a CqeBatch index

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 	"unsafe"
 )
 
@@ -57,16 +56,11 @@ const (
 
 	uringFeatSingleMmap = 1 << 0
 
-	uringSetupSQPoll = 1 << 1 // IORING_SETUP_SQPOLL
-
 	uringOpReadFixed  = 4
 	uringOpWriteFixed = 5
 	uringOpSend       = 26
 
 	uringEnterGetevents = 1
-	uringEnterSQWakeup  = 2 // IORING_ENTER_SQ_WAKEUP
-
-	uringSQNeedWakeup = 1 // IORING_SQ_NEED_WAKEUP (sq ring flags)
 
 	uringSQEIOLink = 4 // IOSQE_IO_LINK
 
@@ -144,11 +138,9 @@ type uring struct {
 	sqHead    *uint32
 	sqTail    *uint32
 	sqMask    uint32
-	sqFlags   *uint32 // kernel-written ring flags (NEED_WAKEUP under SQPOLL)
 	sqArray   []uint32
 	sqEntries uint32
 	sqes      []uringSQE
-	sqpoll    bool
 
 	cqHead *uint32
 	cqTail *uint32
@@ -156,27 +148,16 @@ type uring struct {
 	cqes   []uringCQE
 }
 
-// setupUring creates a plain ring; setupUringPoll creates one with a
-// kernel submission-polling thread (IORING_SETUP_SQPOLL), which consumes
-// published SQEs with no io_uring_enter at all while it is awake.
+// setupUring creates a plain ring: every submission is an
+// io_uring_enter.
 func setupUring(entries uint32) (*uring, error) {
-	return setupUringParams(entries, 0, 0)
-}
-
-func setupUringPoll(entries uint32, idleMillis uint32) (*uring, error) {
-	return setupUringParams(entries, uringSetupSQPoll, idleMillis)
-}
-
-func setupUringParams(entries, flags, idleMillis uint32) (*uring, error) {
 	var p uringParams
-	p.flags = flags
-	p.sqThreadIdle = idleMillis
 	fd, _, errno := syscall.Syscall(sysIoUringSetup, uintptr(entries),
 		uintptr(unsafe.Pointer(&p)), 0)
 	if errno != 0 {
 		return nil, fmt.Errorf("io_uring_setup: %w", errno)
 	}
-	u := &uring{fd: int(fd), sqpoll: flags&uringSetupSQPoll != 0}
+	u := &uring{fd: int(fd)}
 	ok := false
 	defer func() {
 		if !ok {
@@ -226,7 +207,6 @@ func setupUringParams(entries, flags, idleMillis uint32) (*uring, error) {
 
 	u.sqHead = (*uint32)(unsafe.Pointer(&u.sqMem[p.sqOff.head]))
 	u.sqTail = (*uint32)(unsafe.Pointer(&u.sqMem[p.sqOff.tail]))
-	u.sqFlags = (*uint32)(unsafe.Pointer(&u.sqMem[p.sqOff.flags]))
 	u.sqMask = *(*uint32)(unsafe.Pointer(&u.sqMem[p.sqOff.ringMask]))
 	u.sqArray = unsafe.Slice((*uint32)(unsafe.Pointer(&u.sqMem[p.sqOff.array])), p.sqEntries)
 	u.sqEntries = p.sqEntries
@@ -241,12 +221,10 @@ func setupUringParams(entries, flags, idleMillis uint32) (*uring, error) {
 	return u, nil
 }
 
-// stage writes one SQE at slot tail+k without publishing it. Under
-// SQPOLL the kernel thread consumes everything up to the published tail
-// at any moment, so a linked chain must be staged completely and
-// published in one tail store (publish) — advancing the tail per SQE
-// could hand the kernel a chain whose continuation is not written yet,
-// silently breaking the link ordering that serializes the stream.
+// stage writes one SQE at slot tail+k without publishing it. A linked
+// chain is staged completely and published in one tail store (publish),
+// so the kernel never sees a chain whose continuation is not written
+// yet — the link ordering is what serializes the stream.
 // Returns false when the SQ lacks room (callers size chunks to fit).
 func (u *uring) stage(e *uringSQE, k uint32) bool {
 	tail := atomic.LoadUint32(u.sqTail)
@@ -272,12 +250,6 @@ func (u *uring) push(e *uringSQE) bool {
 	}
 	u.publish(1)
 	return true
-}
-
-// needWakeup reports whether the SQPOLL thread has gone idle and needs
-// an IORING_ENTER_SQ_WAKEUP enter to notice newly published SQEs.
-func (u *uring) needWakeup() bool {
-	return u.sqpoll && atomic.LoadUint32(u.sqFlags)&uringSQNeedWakeup != 0
 }
 
 // enter is io_uring_enter: submit toSubmit queued SQEs and, with
@@ -350,24 +322,7 @@ const (
 	// uringMaxBatchMsgs bounds how many queued messages the send loop
 	// folds into one linked-chain submission.
 	uringMaxBatchMsgs = 16
-	// uringSQPollIdleMillis is how long the kernel submission-polling
-	// thread keeps spinning after the last SQE before it sleeps (and the
-	// next submission pays one wakeup enter). Long enough to stay awake
-	// across a ring revolution's back-to-back hops, short enough not to
-	// burn a core on an idle link.
-	uringSQPollIdleMillis = 50
-	// uringSpinReap bounds how long the send loop spins on the mmapped
-	// completion queue before falling back to a blocking enter. A hop
-	// envelope's write completes within tens of microseconds once the
-	// SQPOLL thread picks it up, so a successful spin makes the whole
-	// message cost zero syscalls.
-	uringSpinReap = 200 * time.Microsecond
 )
-
-// uringSQPollMinCPUs is the core count below which SQPOLL is not worth
-// a dedicated busy-polling kernel thread per link. A variable, not a
-// const, so tests can force the SQPOLL path on small machines.
-var uringSQPollMinCPUs = 4
 
 // uringSend is one queued message: the frame header plus payload parts.
 // bufIdx[i] is the registered-buffer index carrying parts[i], or -1 when
@@ -461,24 +416,8 @@ func NewUring(conn net.Conn, maxMsg int) (QueuePair, error) {
 		done:     make(chan struct{}),
 		maxMsg:   maxMsg,
 	}
-	// With CPU headroom the send ring runs a kernel submission-polling
-	// thread (IORING_SETUP_SQPOLL): published chains are consumed and
-	// executed with no io_uring_enter at all while the thread is awake,
-	// and the send loop reaps completions by spinning on the shared CQ —
-	// the zero-syscall fast path. The gate matters: every data link owns
-	// a ring, so a busy-polling kernel thread per link on a one- or
-	// two-core box competes with the application for the CPU and makes
-	// everything slower. Kernels or sandboxes that refuse SQPOLL fall
-	// back to the plain ring, where one enter both submits and waits for
-	// a whole linked chain.
-	if runtime.NumCPU() >= uringSQPollMinCPUs {
-		qp.sring, err = setupUringPoll(uringSendEntries, uringSQPollIdleMillis)
-	} else {
-		err = syscall.ENOSYS
-	}
-	if err != nil {
-		qp.sring, err = setupUring(uringSendEntries)
-	}
+	// One enter both submits and waits for a whole linked chain.
+	qp.sring, err = setupUring(uringSendEntries)
 	if err != nil {
 		syscall.Close(dupFD)
 		return nil, fmt.Errorf("rdma: uring: send ring: %w", err)
@@ -660,7 +599,6 @@ func (qp *uringQP) WireCounters() WireCounters {
 	for i := range c.CqeBatch {
 		c.CqeBatch[i] = atomic.LoadInt64(&qp.cqeBatch[i])
 	}
-	c.SQPoll = qp.sring.sqpoll
 	return c
 }
 
@@ -810,8 +748,8 @@ func (qp *uringQP) writeBatch(batch []uringSend) error {
 				return qp.failFrom(batch, segs, next, fmt.Errorf("rdma: uring: submission queue overflow"))
 			}
 		}
-		// Publish the whole chain with one tail store; under SQPOLL the
-		// kernel thread must never observe a half-staged link chain.
+		// Publish the whole chain with one tail store: the kernel must
+		// never observe a half-staged link chain.
 		qp.sring.publish(uint32(chunk))
 		atomic.AddInt64(&qp.submits, 1)
 		if err := qp.submitAndReap(chunk, results[:chunk]); err != nil {
@@ -858,14 +796,8 @@ func (qp *uringQP) writeBatch(batch []uringSend) error {
 }
 
 // submitAndReap collects exactly n CQEs for the n published SQEs into
-// results, ordered by userData (= position in the chunk).
-//
-// With SQPOLL the kernel thread picks the chain up from the shared ring
-// on its own; the only syscall is a wakeup enter when the thread has
-// gone to sleep, and completions are reaped by spinning briefly on the
-// mmapped CQ — the common case is zero kernel crossings end to end.
-// Without SQPOLL one enter both submits and waits; EINTR restarts the
-// wait without resubmitting.
+// results, ordered by userData (= position in the chunk). One enter
+// both submits and waits; EINTR restarts the wait without resubmitting.
 func (qp *uringQP) submitAndReap(n int, results []uringCQE) error {
 	got := 0
 	scratch := make([]uringCQE, n)
@@ -879,25 +811,6 @@ func (qp *uringQP) submitAndReap(n int, results []uringCQE) error {
 		}
 	}
 	toSubmit := uint32(n)
-	if qp.sring.sqpoll {
-		toSubmit = 0
-		if qp.sring.needWakeup() {
-			if _, err := qp.enterCounted(qp.sring, 0, 0, uringEnterSQWakeup); err != nil && err != syscall.EINTR {
-				return fmt.Errorf("rdma: uring: sq wakeup: %w", err)
-			}
-		}
-		deadline := time.Now().Add(uringSpinReap)
-		for got < n {
-			if k := qp.reapCounted(qp.sring, scratch); k > 0 {
-				collect(k)
-				continue
-			}
-			if time.Now().After(deadline) {
-				break // slow path below: block in the kernel instead
-			}
-			runtime.Gosched()
-		}
-	}
 	for got < n {
 		_, err := qp.enterCounted(qp.sring, toSubmit, uint32(n-got), uringEnterGetevents)
 		toSubmit = 0

@@ -63,6 +63,9 @@ func TestServeQueryMatchesInProcess(t *testing.T) {
 	if h := cl.Node(); h.Node != 1 || h.Ring != 3 {
 		t.Fatalf("handshake = %+v, want node 1 of 3", h)
 	}
+	if rings := cl.Rings(); len(rings) != 0 {
+		t.Fatalf("single-ring server advertised ring labels: %v", rings)
+	}
 	got, err := cl.Query(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
@@ -407,32 +410,4 @@ func TestServeRouterTieredHandshake(t *testing.T) {
 		t.Fatal("ServeNode on a routed server succeeded")
 	}
 
-	// Tiers < 2 degenerates to the plain single-ring server: no ring
-	// labels in the handshake.
-	src := live.DefaultRouterConfig()
-	src.Tiers = 0
-	srtr, err := live.NewRouter(cols, schema, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := server.ServeRouter(srtr, server.DefaultConfig())
-	if err != nil {
-		srtr.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ss.Close()
-		srtr.Close()
-	})
-	scl, err := dcclient.Dial(ss.Addr(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scl.Close()
-	if rings := scl.Rings(); len(rings) != 0 {
-		t.Fatalf("single-ring server advertised ring labels: %v", rings)
-	}
-	if _, err := scl.Query(context.Background(), sql); err != nil {
-		t.Fatal(err)
-	}
 }

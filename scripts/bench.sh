@@ -1,30 +1,24 @@
 #!/usr/bin/env bash
-# bench.sh — run the wire-codec benchmark suite, the fragment
-# granularity sweep, the hot-set cache repeat sweep, the hop batching
-# sweep, the failover kill-and-recover sweep, the grow-the-ring
-# join sweep, and the hot/cold tier Zipf sweep, recording the results.
+# bench.sh — run the wire-codec benchmark suite and every benchmark
+# sweep (fragment granularity, hot-set cache, hop batching, failover,
+# ring join, hot/cold tiers, wire backend), recording the results.
 #
 # Usage:
 #   scripts/bench.sh          full run: 1s per benchmark, writes
-#                             BENCH_wire.json, BENCH_frag.json,
-#                             BENCH_cache.json, BENCH_hop.json,
-#                             BENCH_failover.json, BENCH_join.json,
-#                             and BENCH_tier.json
+#                             BENCH_wire.json and, through
+#                             `go run ./cmd/dcbench <suite>`,
+#                             BENCH_<suite>.json for each sweep
 #   scripts/bench.sh -short   CI smoke: one iteration per benchmark and
-#                             small sweeps, still gating on codec/gob
-#                             equivalence, the fragmentation invariants,
-#                             the cache hit-rate / ≥5× pin-p99 gates,
-#                             the ≥4× hop-message reduction gate, and
-#                             the zero-incorrect / bounded-recovery
-#                             failover gates, and the zero-incorrect /
-#                             full-share / transfer-dominated join gates
+#                             small sweeps (dcbench -short), still
+#                             gating on codec/gob equivalence and on
+#                             every sweep's gate
 #
 # The script fails if the codec-vs-gob equivalence tests fail (a wire
 # format regression can never produce a "fast but wrong" green run) or
-# if the fragment sweep misses its hop-shrink gate. The JSON files are
-# snapshots of the latest run (overwritten each time); committing them
-# alongside perf-relevant changes makes git history the repo's perf
-# trajectory.
+# if any sweep misses its gate (dcbench writes the snapshot, then exits
+# non-zero). The JSON files are snapshots of the latest run (overwritten
+# each time); committing them alongside perf-relevant changes makes git
+# history the repo's perf trajectory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +34,10 @@ go test ./internal/server -count=1 -run 'TestHelloRoundtrip|TestResultRoundtrip'
 
 if [ "$SHORT" -eq 1 ]; then
   BENCHTIME=1x
+  SHORTFLAG=-short
 else
   BENCHTIME=1s
+  SHORTFLAG=
 fi
 
 echo "== wire benchmarks (benchtime=$BENCHTIME) =="
@@ -81,51 +77,7 @@ END {
 
 echo "== wrote $OUT =="
 
-echo "== fragment granularity sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcfrag -short -out BENCH_frag.json
-else
-  go run ./cmd/dcfrag -out BENCH_frag.json
-fi
-
-echo "== hot-set cache repeat sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dccache -short -out BENCH_cache.json
-else
-  go run ./cmd/dccache -out BENCH_cache.json
-fi
-
-echo "== hop batching sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dchop -short -out BENCH_hop.json
-else
-  go run ./cmd/dchop -out BENCH_hop.json
-fi
-
-echo "== failover kill-and-recover sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcfail -short -out BENCH_failover.json
-else
-  go run ./cmd/dcfail -out BENCH_failover.json
-fi
-
-echo "== grow-the-ring join sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcjoin -short -out BENCH_join.json
-else
-  go run ./cmd/dcjoin -out BENCH_join.json
-fi
-
-echo "== hot/cold tier Zipf sweep =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dctier -short -out BENCH_tier.json
-else
-  go run ./cmd/dctier -out BENCH_tier.json
-fi
-
-echo "== wire backend sweep (tcp vs io_uring) =="
-if [ "$SHORT" -eq 1 ]; then
-  go run ./cmd/dcuring -short -out BENCH_uring.json
-else
-  go run ./cmd/dcuring -out BENCH_uring.json
-fi
+for suite in frag cache hop failover join tier uring; do
+  echo "== $suite sweep =="
+  go run ./cmd/dcbench $SHORTFLAG "$suite"
+done
